@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzFrameCorruption -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/rowcodec
 
 # The seeded fault-injection suite: the generated-query corpus executed
 # against a fault-injecting store (read errors, latency, torn temp

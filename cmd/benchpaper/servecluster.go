@@ -14,6 +14,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/rowcodec"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -105,7 +106,7 @@ func canonSorted(cols []string, rows []storage.Tuple) []byte {
 		for k := 0; k < len(a) && k < len(b); k++ {
 			c, err := value.TotalCompare(a[k], b[k])
 			if err != nil {
-				c = bytes.Compare(wire.AppendValue(nil, a[k]), wire.AppendValue(nil, b[k]))
+				c = bytes.Compare(rowcodec.AppendValue(nil, a[k]), rowcodec.AppendValue(nil, b[k]))
 			}
 			if c != 0 {
 				return c < 0

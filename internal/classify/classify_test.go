@@ -8,6 +8,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // cat builds the paper's catalogs.
@@ -123,5 +124,24 @@ func TestProfile(t *testing.T) {
 	}
 	if len(prof.Types) != 2 || prof.Types[0] != classify.TypeJ || prof.Types[1] != classify.TypeA {
 		t.Errorf("types = %v", prof.Types)
+	}
+}
+
+// Kiessling's Q2 has one type-JA predicate over a two-block tree.
+func TestClassifyAndProfile(t *testing.T) {
+	db := workload.NewDB(8)
+	if err := workload.LoadKiessling(db); err != nil {
+		t.Fatal(err)
+	}
+	qb := sqlparser.MustParse(workload.KiesslingQ2)
+	if _, err := schema.Resolve(db.Cat, qb); err != nil {
+		t.Fatal(err)
+	}
+	if got := classify.Classify(qb.Where[0]); got != classify.TypeJA {
+		t.Errorf("classify = %v", got)
+	}
+	prof := classify.Profile(qb)
+	if prof.Blocks != 2 || prof.MaxDepth != 1 {
+		t.Errorf("profile = %+v", prof)
 	}
 }

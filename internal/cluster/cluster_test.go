@@ -22,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/netfault"
 	"repro/internal/qctx"
+	"repro/internal/rowcodec"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -72,7 +73,7 @@ func canonSorted(cols []string, rows []storage.Tuple) []byte {
 			c, err := value.TotalCompare(a[k], b[k])
 			if err != nil {
 				// Incomparable kinds: order by wire encoding, still total.
-				c = bytes.Compare(wire.AppendValue(nil, a[k]), wire.AppendValue(nil, b[k]))
+				c = bytes.Compare(rowcodec.AppendValue(nil, a[k]), rowcodec.AppendValue(nil, b[k]))
 			}
 			if c != 0 {
 				return c < 0
@@ -324,7 +325,7 @@ func TestClusterChaosStorm(t *testing.T) {
 
 	co, err := cluster.New(cluster.Config{
 		Workers:       proxyAddrs,
-		Replicas:      2, // storms ride out lost links via the peer replica
+		Replicas:      2,                              // storms ride out lost links via the peer replica
 		Placement:     map[string]string{"SP": "PNO"}, // force shuffles under fire
 		IOTimeout:     3 * time.Second,
 		ProbeInterval: 100 * time.Millisecond,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -81,16 +80,7 @@ func (db *DB) EnableDurability(dir string, opts wal.Options) (RecoveryInfo, erro
 	// db.wal is still nil here, so the apply paths below run without
 	// logging — recovery must not re-log what the WAL already holds.
 	if rec.SnapshotPayload != nil {
-		var img image
-		if err := gob.NewDecoder(bytes.NewReader(rec.SnapshotPayload)).Decode(&img); err != nil {
-			l.Close()
-			return info, fmt.Errorf("engine: recovery snapshot: %w", err)
-		}
-		if img.Magic != imageMagic {
-			l.Close()
-			return info, fmt.Errorf("engine: recovery snapshot: not a nestedsql image")
-		}
-		if err := applyImage(db, img); err != nil {
+		if _, err := loadImage(bytes.NewReader(rec.SnapshotPayload), db); err != nil {
 			l.Close()
 			return info, fmt.Errorf("engine: recovery snapshot: %w", err)
 		}

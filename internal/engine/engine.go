@@ -222,11 +222,7 @@ func (db *DB) createRelationDurable(rel *schema.Relation, tuplesPerPage int) (wa
 	if err := db.createRelationApply(rel, tuplesPerPage); err != nil {
 		return wal.Commit{}, err
 	}
-	sch := &wal.TableSchema{Name: rel.Name, Key: rel.Key, TuplesPerPage: tuplesPerPage}
-	for _, c := range rel.Columns {
-		sch.Columns = append(sch.Columns, wal.TableColumn{Name: c.Name, Kind: uint8(c.Type)})
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecCreateTable, Schema: sch})
+	return db.wal.Append(wal.Record{Type: wal.RecCreateTable, Schema: walSchema(rel, tuplesPerPage)})
 }
 
 func (db *DB) createRelationApply(rel *schema.Relation, tuplesPerPage int) error {

@@ -1,51 +1,55 @@
 package engine
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
+	"repro/internal/rowcodec"
 	"repro/internal/schema"
 	"repro/internal/storage"
-	"repro/internal/value"
+	"repro/internal/wal"
 )
 
-// Database snapshots: Save serializes the catalog and every relation's
-// rows (gob encoded); Restore rebuilds an equivalent database. Snapshots
-// capture logical content — page layout is reconstructed on load — plus
-// the buffer pool size and per-relation page capacities, so restored
-// databases measure the same costs.
+// Database snapshots: Save streams the catalog and every relation's
+// rows; Restore rebuilds an equivalent database. Snapshots capture
+// logical content plus the buffer pool size and per-relation page
+// capacities, so restored databases measure the same costs.
+//
+// An image is the magic imageMagic followed by records in the shared
+// rowcodec framing: a header holding the uvarint buffer pool size, then
+// per relation one WAL create-table record and insert records of one
+// heap page of rows each, then an empty record marking the end. The
+// records use the WAL's payload encoding and are applied by the same
+// applyRecord that WAL replay uses, so restoring an image reproduces
+// the page layout of a bulk load.
 
-// imageColumn is the wire form of a column definition.
-type imageColumn struct {
-	Name string
-	Kind uint8
-}
+const imageMagic = "NSQLIMG2"
 
-// imageRelation is the wire form of one relation with its rows.
-type imageRelation struct {
-	Name          string
-	Columns       []imageColumn
-	Key           []string
-	TuplesPerPage int
-	Rows          []storage.Tuple
-}
-
-// image is the wire form of a whole database.
-type image struct {
-	Magic       string
-	BufferPages int
-	Relations   []imageRelation
-}
-
-const imageMagic = "nestedsql-snapshot-v1"
+// errImageFormat rejects anything that does not open with imageMagic,
+// including the gob images written before this format.
+var errImageFormat = errors.New("unsupported snapshot format")
 
 // Save writes a snapshot of the database. Reading the rows goes through
 // the buffer pool and is charged like any other scan; snapshot outside
 // measured query windows.
 func (db *DB) Save(w io.Writer) error {
-	img := image{Magic: imageMagic, BufferPages: db.store.BufferPages()}
+	bw := bufio.NewWriter(w)
+	frame := []byte(imageMagic) // written ahead of the header record
+	put := func(payload []byte) error {
+		frame = rowcodec.AppendRecord(frame, payload)
+		_, err := bw.Write(frame)
+		frame = frame[:0]
+		return err
+	}
+	if err := put(binary.AppendUvarint(nil, uint64(db.store.BufferPages()))); err != nil {
+		return err
+	}
+	var payload []byte
 	for _, name := range db.cat.Names() {
 		if strings.Contains(name, "#") {
 			// A per-query TEMPn#qN materialization: transient by
@@ -59,59 +63,110 @@ func (db *DB) Save(w io.Writer) error {
 		if !ok {
 			return fmt.Errorf("engine: relation %s has no storage", name)
 		}
-		ir := imageRelation{
-			Name:          rel.Name,
-			Key:           rel.Key,
-			TuplesPerPage: f.TuplesPerPage(),
+		tpp := f.TuplesPerPage()
+		payload = wal.AppendPayload(payload[:0], wal.Record{Type: wal.RecCreateTable, Schema: walSchema(rel, tpp)})
+		if err := put(payload); err != nil {
+			return err
 		}
-		for _, c := range rel.Columns {
-			ir.Columns = append(ir.Columns, imageColumn{Name: c.Name, Kind: uint8(c.Type)})
+		page := make([]storage.Tuple, 0, tpp)
+		flush := func() error {
+			payload = wal.AppendPayload(payload[:0], wal.Record{Type: wal.RecInsert, Table: rel.Name, Rows: page})
+			page = page[:0]
+			return put(payload)
 		}
+		var err error
 		f.Scan(func(t storage.Tuple) bool {
-			ir.Rows = append(ir.Rows, t.Clone())
-			return true
+			if page = append(page, t); len(page) == tpp {
+				err = flush()
+			}
+			return err == nil
 		})
-		img.Relations = append(img.Relations, ir)
+		if err == nil && len(page) > 0 {
+			err = flush()
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return gob.NewEncoder(w).Encode(img)
+	if err := put(nil); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
-// Restore reads a snapshot written by Save into a new database.
+// Restore reads a snapshot written by Save into a new database. Any
+// malformed, truncated or unsupported image fails whole.
 func Restore(r io.Reader) (*DB, error) {
-	var img image
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+	db, err := loadImage(r, nil)
+	if err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
-	}
-	if img.Magic != imageMagic {
-		return nil, fmt.Errorf("engine: restore: not a nestedsql snapshot")
-	}
-	db := New(img.BufferPages)
-	if err := applyImage(db, img); err != nil {
-		return nil, err
 	}
 	return db, nil
 }
 
-// applyImage loads a decoded snapshot into an (empty) database. WAL
-// recovery reuses it to rebuild state before replaying the log tail;
-// the caller is responsible for suppressing WAL logging while it runs.
-func applyImage(db *DB, img image) error {
-	for _, ir := range img.Relations {
-		rel := &schema.Relation{Name: ir.Name, Key: ir.Key}
-		for _, c := range ir.Columns {
-			rel.Columns = append(rel.Columns, schema.Column{Name: c.Name, Type: value.Kind(c.Kind)})
+// loadImage applies an image to db, or when db is nil to a new
+// database sized by the image's buffer pool. WAL recovery passes its
+// (empty) database and is responsible for suppressing WAL logging
+// while the records apply.
+func loadImage(r io.Reader, db *DB) (*DB, error) {
+	br := bufio.NewReader(r)
+	magic := make([]byte, len(imageMagic))
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != imageMagic {
+		return nil, errImageFormat
+	}
+	var buf []byte
+	next := func() ([]byte, error) {
+		p, err := rowcodec.ReadRecord(br, buf)
+		if err == io.EOF {
+			return nil, fmt.Errorf("truncated image")
 		}
-		if err := db.CreateRelation(rel, ir.TuplesPerPage); err != nil {
-			return err
+		if err != nil {
+			return nil, fmt.Errorf("image record: %w", err)
 		}
-		for _, row := range ir.Rows {
-			if err := db.Insert(ir.Name, row); err != nil {
-				return err
-			}
+		buf = p
+		return p, nil
+	}
+	hdr, err := next()
+	if err != nil {
+		return nil, err
+	}
+	pages, n := binary.Uvarint(hdr)
+	if n != len(hdr) || pages == 0 || pages > math.MaxInt32 {
+		return nil, fmt.Errorf("bad image header")
+	}
+	if db == nil {
+		db = New(int(pages))
+	}
+	for {
+		p, err := next()
+		if err != nil {
+			return nil, err
 		}
-		if err := db.Seal(ir.Name); err != nil {
-			return err
+		if len(p) == 0 {
+			break
+		}
+		rec, err := wal.DecodePayload(p)
+		if err != nil {
+			return nil, fmt.Errorf("image record: %w", err)
+		}
+		if rec.Type != wal.RecCreateTable && rec.Type != wal.RecInsert {
+			return nil, fmt.Errorf("unexpected %s record in image", rec.Type)
+		}
+		if err := contain(func() error { return db.applyRecord(rec) }); err != nil {
+			return nil, fmt.Errorf("apply %s record: %w", rec.Type, err)
 		}
 	}
-	return nil
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("trailing bytes after image")
+	}
+	return db, nil
+}
+
+// walSchema is the logged form of a relation definition.
+func walSchema(rel *schema.Relation, tuplesPerPage int) *wal.TableSchema {
+	s := &wal.TableSchema{Name: rel.Name, Key: rel.Key, TuplesPerPage: tuplesPerPage}
+	for _, c := range rel.Columns {
+		s.Columns = append(s.Columns, wal.TableColumn{Name: c.Name, Kind: uint8(c.Type)})
+	}
+	return s
 }

@@ -2,10 +2,14 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/rowcodec"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -88,5 +92,105 @@ func TestSaveRestoreWithNullsAndFloats(t *testing.T) {
 	b := query(t, restored, "SELECT A, B, C, D FROM T", engine.Options{})
 	if sortedRows(a) != sortedRows(b) {
 		t.Errorf("round trip:\n  %v\n  %v", sortedRows(a), sortedRows(b))
+	}
+}
+
+// Snapshots written before the framed image format (gob streams) are
+// refused with a clear error, not misread.
+func TestRestoreRejectsGobImage(t *testing.T) {
+	var buf bytes.Buffer
+	old := struct {
+		Magic       string
+		BufferPages int
+	}{"nestedsql-snapshot-v1", 8}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	_, err := engine.Restore(&buf)
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot format") {
+		t.Fatalf("gob image: err = %v, want unsupported snapshot format", err)
+	}
+}
+
+// Every damaged image fails whole: truncated anywhere (at a record
+// boundary or inside one) or with any single byte flipped, Restore
+// returns an error and no database, and recovery from a data directory
+// holding that image as its snapshot refuses to boot.
+func TestRestoreRejectsDamagedImage(t *testing.T) {
+	db := newDB(t, 8, workload.LoadKiessling)
+	if _, err := db.Exec(`
+		CREATE TABLE T (A INT, B FLOAT, C VARCHAR(10), D DATE);
+		INSERT INTO T VALUES (1, 2.5, 'x', 7-3-79), (NULL, NULL, NULL, NULL);
+	`, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	image := buf.Bytes()
+
+	// Record start offsets, after the 8-byte magic.
+	var starts []int
+	for off := 8; off < len(image); {
+		starts = append(starts, off)
+		_, rest, err := rowcodec.CutRecord(image[off:])
+		if err != nil {
+			t.Fatalf("image record at %d: %v", off, err)
+		}
+		off = len(image) - len(rest)
+	}
+	if len(starts) < 4 {
+		t.Fatalf("image has only %d records", len(starts))
+	}
+
+	restoreFails := func(what string, img []byte) {
+		t.Helper()
+		if got, err := engine.Restore(bytes.NewReader(img)); err == nil || got != nil {
+			t.Fatalf("%s: Restore = %v, %v; want an error and no database", what, got, err)
+		}
+	}
+	for cut := 0; cut < len(image); cut++ {
+		restoreFails("truncated", image[:cut])
+	}
+	for pos := range image {
+		img := append([]byte(nil), image...)
+		img[pos] ^= 0x10
+		restoreFails("flipped", img)
+	}
+	restoreFails("trailing byte", append(append([]byte(nil), image...), 0))
+
+	// The same damage inside a checkpoint whose own checksum is intact:
+	// one boundary cut, one mid-record cut and one flip per record.
+	bootFails := func(what string, img []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		l, _, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = l.Checkpoint(func(w io.Writer) error {
+			_, err := w.Write(img)
+			return err
+		})
+		l.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.New(8).EnableDurability(dir, wal.Options{}); err == nil {
+			t.Fatalf("%s: recovery accepted a damaged snapshot", what)
+		}
+	}
+	for i, start := range starts {
+		end := len(image)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		mid := start + (end-start)/2
+		bootFails("boundary cut", image[:start])
+		bootFails("mid-record cut", image[:mid])
+		img := append([]byte(nil), image...)
+		img[mid] ^= 0x10
+		bootFails("flipped", img)
 	}
 }

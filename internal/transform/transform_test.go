@@ -500,3 +500,40 @@ func TestJAOuterAliasCollidesWithTempName(t *testing.T) {
 		t.Errorf("Kim: err = %v, want ErrNotTransformable", err)
 	}
 }
+
+// Kiessling's Q2 under NEST-JA2 needs three temporaries, the last one built
+// with an outer join.
+func TestUnnestAppliesJA2(t *testing.T) {
+	db, qb := prep(t, workload.LoadKiessling, workload.KiesslingQ2)
+	res := mustTransform(t, db, qb, transform.JA2)
+	if len(res.Temps) != 3 {
+		t.Fatalf("temps = %d, want 3", len(res.Temps))
+	}
+	if !strings.Contains(res.Temps[2].Def.String(), "=+") {
+		t.Errorf("outer join missing: %s", res.Temps[2].Def)
+	}
+}
+
+// Kim's NEST-JA reproduces the buggy one-temporary form without an outer
+// join (section 5.1).
+func TestUnnestKimReproducesBuggyForm(t *testing.T) {
+	db, qb := prep(t, workload.LoadKiessling, workload.KiesslingQ2)
+	res := mustTransform(t, db, qb, transform.KimJA)
+	if len(res.Temps) != 1 {
+		t.Fatalf("temps = %d, want 1", len(res.Temps))
+	}
+	if strings.Contains(res.Temps[0].Def.String(), "=+") {
+		t.Errorf("Kim's temp must not use an outer join: %s", res.Temps[0].Def)
+	}
+}
+
+// A subquery under OR on the Kiessling fixture fails with an error that
+// wraps ErrNotTransformable.
+func TestUnnestErrorWraps(t *testing.T) {
+	db, qb := prep(t, workload.LoadKiessling,
+		"SELECT PNUM FROM PARTS WHERE QOH > 9 OR PNUM IN (SELECT PNUM FROM SUPPLY)")
+	_, err := transform.New(db.Cat, transform.JA2).Transform(qb)
+	if !errors.Is(err, transform.ErrNotTransformable) {
+		t.Errorf("err = %v", err)
+	}
+}

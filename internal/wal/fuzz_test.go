@@ -52,7 +52,7 @@ func FuzzWALReplay(f *testing.F) {
 			// Round-trip: a returned record must re-encode to a payload
 			// that decodes back to itself — the scanner cannot have
 			// invented or garbled fields.
-			back, err := decodePayload(appendPayload(nil, r))
+			back, err := DecodePayload(AppendPayload(nil, r))
 			if err != nil {
 				t.Fatalf("record %d does not round-trip: %v", i, err)
 			}

@@ -3,12 +3,12 @@ package wal
 import (
 	"bytes"
 	"flag"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 )
 
@@ -55,10 +55,7 @@ func buildGoldenBase() (seg []byte, offsets []int) {
 	seg = []byte(segMagic)
 	for _, r := range goldenRecords() {
 		offsets = append(offsets, len(seg))
-		payload := appendPayload(nil, r)
-		seg = appendU32(seg, uint32(len(payload)))
-		seg = append(seg, payload...)
-		seg = appendU32(seg, crc32.Checksum(payload, castagnoli))
+		seg = rowcodec.AppendRecord(seg, AppendPayload(nil, r))
 	}
 	return seg, offsets
 }
@@ -96,7 +93,7 @@ func goldenVariants() []goldenVariant {
 			}},
 		{name: "bitflip-len.seg", survive: 0,
 			mutate: func(seg []byte, off []int) []byte {
-				seg[off[0]] ^= 0x80 // length prefix now exceeds maxRecordLen
+				seg[off[0]] ^= 0x80 // length prefix now exceeds rowcodec.MaxLen
 				return seg
 			}},
 		{name: "bad-magic.seg", survive: 0,

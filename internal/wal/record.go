@@ -69,9 +69,10 @@ type Record struct {
 	SQL    string          // RecDelete, RecUpdate
 }
 
-// appendPayload appends the record's frame payload to dst: uvarint LSN,
-// type byte, then the type-specific body.
-func appendPayload(dst []byte, r Record) []byte {
+// AppendPayload appends the record's frame payload to dst: uvarint LSN,
+// type byte, then the type-specific body. Engine snapshots store their
+// records in this encoding too.
+func AppendPayload(dst []byte, r Record) []byte {
 	dst = binary.AppendUvarint(dst, r.LSN)
 	dst = append(dst, byte(r.Type))
 	switch r.Type {
@@ -107,10 +108,12 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodePayload parses one frame payload back into a Record. It is
+// DecodePayload parses one frame payload back into a Record. It is
 // total: any malformed input yields an error, never a panic — the fuzz
-// target drives arbitrary bytes through it.
-func decodePayload(p []byte) (Record, error) {
+// target drives arbitrary bytes through it. Counts are believed only as
+// far as the remaining bytes could hold them (at least one byte per
+// column or row), so a short payload cannot demand a large allocation.
+func DecodePayload(p []byte) (Record, error) {
 	var r Record
 	lsn, n := binary.Uvarint(p)
 	if n <= 0 {
@@ -130,7 +133,7 @@ func decodePayload(p []byte) (Record, error) {
 			return r, fmt.Errorf("schema name: %w", err)
 		}
 		ncols, n := binary.Uvarint(p)
-		if n <= 0 || ncols > maxRecordLen {
+		if n <= 0 || ncols > uint64(len(p)-n) {
 			return r, fmt.Errorf("bad column count")
 		}
 		p = p[n:]
@@ -158,7 +161,7 @@ func decodePayload(p []byte) (Record, error) {
 			s.Key = append(s.Key, k)
 		}
 		tpp, n := binary.Uvarint(p)
-		if n <= 0 || tpp > maxRecordLen {
+		if n <= 0 || tpp > rowcodec.MaxLen {
 			return r, fmt.Errorf("bad tuples-per-page")
 		}
 		p = p[n:]
@@ -173,11 +176,11 @@ func decodePayload(p []byte) (Record, error) {
 			return r, fmt.Errorf("table name: %w", err)
 		}
 		nrows, n := binary.Uvarint(p)
-		if n <= 0 || nrows > maxRecordLen {
+		if n <= 0 || nrows > uint64(len(p)-n) {
 			return r, fmt.Errorf("bad row count")
 		}
 		p = p[n:]
-		r.Rows = make([]storage.Tuple, 0, min(nrows, 1024))
+		r.Rows = make([]storage.Tuple, 0, nrows)
 		for i := uint64(0); i < nrows; i++ {
 			var t storage.Tuple
 			if t, p, err = rowcodec.DecodeTuplePrefix(p); err != nil {

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/rowcodec"
 )
 
 // Recovery reports what Open reconstructed: the newest valid snapshot
@@ -171,23 +173,11 @@ func ScanSegment(data []byte, minLSN uint64) ([]Record, int, error) {
 	prev := minLSN // records must carry LSN >= minLSN, strictly increasing
 	first := true
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			return recs, off, fmt.Errorf("%w: torn length prefix", ErrCorrupt)
+		payload, rest, err := rowcodec.CutRecord(data[off:])
+		if err != nil {
+			return recs, off, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		n := binary.BigEndian.Uint32(rest[:4])
-		if n > maxRecordLen {
-			return recs, off, fmt.Errorf("%w: impossible record length %d", ErrCorrupt, n)
-		}
-		if uint64(len(rest)) < 8+uint64(n) {
-			return recs, off, fmt.Errorf("%w: torn record body", ErrCorrupt)
-		}
-		payload := rest[4 : 4+n]
-		crc := binary.BigEndian.Uint32(rest[4+n : 8+n])
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return recs, off, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-		}
-		r, err := decodePayload(payload)
+		r, err := DecodePayload(payload)
 		if err != nil {
 			return recs, off, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -200,7 +190,7 @@ func ScanSegment(data []byte, minLSN uint64) ([]Record, int, error) {
 		}
 		prev, first = r.LSN, false
 		recs = append(recs, r)
-		off += 8 + int(n)
+		off = len(data) - len(rest)
 	}
 	return recs, off, nil
 }
@@ -218,7 +208,7 @@ func readSnapshot(path string) (payload []byte, lsn uint64, ok bool) {
 		return nil, 0, false
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
+	if crc32.Checksum(body, rowcodec.CRCTable) != binary.BigEndian.Uint32(tail) {
 		return nil, 0, false
 	}
 	lsn = binary.BigEndian.Uint64(data[len(snapMagic):hdr])

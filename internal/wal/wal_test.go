@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -498,5 +499,26 @@ func TestSegmentNameParsing(t *testing.T) {
 	}
 	if !isSnapshotName(fmt.Sprintf("snap-%016x.snap", uint64(41))) {
 		t.Error("snapshot name not recognized")
+	}
+}
+
+// A corrupt count inside a payload must fail before allocating for it:
+// an 8-byte create-table payload claiming ~4M columns once cost 96 MB.
+func TestDecodePayloadHugeCountIsCheap(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0x01}
+	for _, p := range [][]byte{
+		append(append([]byte{1, byte(RecCreateTable), 0}, huge...), 0),
+		append(append([]byte{1, byte(RecInsert), 0}, huge...), 0),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodePayload(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("payload %x accepted", p)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("rejecting %d-byte payload %x allocated %d bytes", len(p), p, got)
+		}
 	}
 }

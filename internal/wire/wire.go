@@ -45,8 +45,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -99,10 +99,6 @@ var ErrCorruptFrame = errors.New("wire: corrupt frame (checksum mismatch)")
 // travels big-endian.
 const checksumLen = 4
 
-// castagnoli is the CRC32C polynomial table; Castagnoli has hardware
-// support on amd64/arm64, so the per-frame cost is a few ns per KiB.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Strategy bytes carried in the Query frame. They mirror the engine's
 // strategies without importing it, so both peers share one tiny vocabulary.
 const (
@@ -138,7 +134,7 @@ func (c Codec) WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	crc := crc32.Update(crc32.Checksum(hdr[4:5], castagnoli), castagnoli, payload)
+	crc := crc32.Update(crc32.Checksum(hdr[4:5], rowcodec.CRCTable), rowcodec.CRCTable, payload)
 	var tr [checksumLen]byte
 	binary.BigEndian.PutUint32(tr[:], crc)
 	_, err := w.Write(tr[:])
@@ -166,7 +162,7 @@ func (c Codec) ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	body := buf[:n-checksumLen]
 	want := binary.BigEndian.Uint32(buf[n-checksumLen:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
+	if got := crc32.Checksum(body, rowcodec.CRCTable); got != want {
 		return 0, nil, fmt.Errorf("wire: frame type 0x%02x crc %08x != %08x: %w",
 			body[0], got, want, ErrCorruptFrame)
 	}
@@ -323,7 +319,7 @@ func EncodeRowBatch(b RowBatch) []byte {
 	p = binary.AppendUvarint(p, uint64(len(b.Rows)))
 	for _, row := range b.Rows {
 		for _, v := range row {
-			p = AppendValue(p, v)
+			p = rowcodec.AppendValue(p, v)
 		}
 	}
 	return p
@@ -360,8 +356,8 @@ func DecodeRowBatch(p []byte) (RowBatch, error) {
 	for r := uint64(0); r < nrows; r++ {
 		row := make(storage.Tuple, ncols)
 		for c := range row {
-			if row[c], p, err = DecodeValue(p); err != nil {
-				return b, err
+			if row[c], p, err = rowcodec.DecodeValue(p); err != nil {
+				return b, fmt.Errorf("wire: row value: %w", err)
 			}
 		}
 		b.Rows = append(b.Rows, row)
@@ -412,78 +408,9 @@ func DecodeDone(p []byte) (Done, error) {
 	return d, nil
 }
 
-// Value codec: one kind byte, then a payload shaped by the kind. Strings
-// carry a length prefix (unlike the gob codec in internal/value, which can
-// rely on gob's own framing) so many values can sit in one batch.
-
-// AppendValue appends the wire encoding of v.
-func AppendValue(p []byte, v value.Value) []byte {
-	switch v.Kind() {
-	case value.KindNull:
-		return append(p, byte(value.KindNull))
-	case value.KindInt:
-		p = append(p, byte(value.KindInt))
-		return binary.AppendVarint(p, v.Int())
-	case value.KindDate:
-		// Dates travel as year*10000 + month*100 + day, mirroring the
-		// chronological integer encoding internal/value uses.
-		d := v.DateOf()
-		p = append(p, byte(value.KindDate))
-		return binary.AppendVarint(p, int64(d.Year())*10000+int64(d.Month())*100+int64(d.Day()))
-	case value.KindFloat:
-		p = append(p, byte(value.KindFloat))
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
-		return append(p, buf[:]...)
-	case value.KindString:
-		p = append(p, byte(value.KindString))
-		return appendString(p, v.Str())
-	default:
-		// Unreachable for well-formed values; encode as NULL rather than
-		// corrupting the stream.
-		return append(p, byte(value.KindNull))
-	}
-}
-
-// DecodeValue parses one value, returning the remaining bytes.
-func DecodeValue(p []byte) (value.Value, []byte, error) {
-	if len(p) == 0 {
-		return value.Null, nil, fmt.Errorf("wire: missing value")
-	}
-	kind := value.Kind(p[0])
-	p = p[1:]
-	switch kind {
-	case value.KindNull:
-		return value.Null, p, nil
-	case value.KindInt, value.KindDate:
-		i, n := binary.Varint(p)
-		if n <= 0 {
-			return value.Null, nil, fmt.Errorf("wire: bad integer value")
-		}
-		if kind == value.KindDate {
-			d, err := value.NewDate(int(i/10000), int(i/100)%100, int(i%100))
-			if err != nil {
-				return value.Null, nil, fmt.Errorf("wire: bad date value: %w", err)
-			}
-			return value.NewDateValue(d), p[n:], nil
-		}
-		return value.NewInt(i), p[n:], nil
-	case value.KindFloat:
-		if len(p) < 8 {
-			return value.Null, nil, fmt.Errorf("wire: bad float value")
-		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(p[:8]))
-		return value.NewFloat(f), p[8:], nil
-	case value.KindString:
-		s, rest, err := getString(p, "string value")
-		if err != nil {
-			return value.Null, nil, err
-		}
-		return value.NewString(s), rest, nil
-	default:
-		return value.Null, nil, fmt.Errorf("wire: unknown value kind %d", kind)
-	}
-}
+// AppendValue appends the encoding of v; values are encoded by
+// internal/rowcodec, shared with the WAL, spill runs and snapshots.
+func AppendValue(p []byte, v value.Value) []byte { return rowcodec.AppendValue(p, v) }
 
 func appendString(p []byte, s string) []byte {
 	p = binary.AppendUvarint(p, uint64(len(s)))

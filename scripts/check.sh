@@ -35,6 +35,11 @@ go test -run '^$' -fuzz FuzzFrameCorruption -fuzztime 10s ./internal/wire
 echo "==> go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal"
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 
+# The shared row codec must reject malformed tuples without panicking or
+# over-allocating, and re-encode every accepted input to the same bytes.
+echo "==> go test -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/rowcodec"
+go test -run '^$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/rowcodec
+
 # Short chaos pass: a reduced-round run of the seeded fault-injection
 # suite (the full 250-round sweep is `make chaos`). -count=1 defeats the
 # test cache so the faults actually execute in this gate.
