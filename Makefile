@@ -31,10 +31,11 @@ fuzz:
 # The seeded fault-injection suite: the generated-query corpus executed
 # against a fault-injecting store (read errors, latency, torn temp
 # writes), asserting every fault becomes a clean typed error — never a
-# panic, hang, goroutine leak, or leaked temp file. -count=1 defeats the
-# test cache so the faults actually run.
+# panic, hang, goroutine leak, or leaked temp file. The full sweep runs
+# three times under the race detector, which is what catches a DML path
+# racing concurrent queries; -count also defeats the test cache.
 chaos:
-	$(GO) test -race -count=1 -v -run TestChaosFaultInjection ./internal/engine
+	$(GO) test -race -count=3 -v -run TestChaosFaultInjection ./internal/engine
 
 # The multi-client chaos storm: 8 clients hammer one engine through the
 # admission gateway with faults armed, then the engine drains to zero.

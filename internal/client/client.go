@@ -392,19 +392,8 @@ func (c *Conn) redial(cancel <-chan struct{}) error {
 // stream must be drained (Next until false) or Closed before the next
 // Query on this connection.
 func (c *Conn) Query(sql string, opts Options) (*Stream, error) {
-	if c.err != nil {
-		// A reconnectable connection loss is not fatal to the Conn: the
-		// next query may transparently redial.
-		if !c.canReconnect() || !errors.Is(c.err, ErrConnectionLost) {
-			return nil, c.err
-		}
-		if err := c.redial(opts.Cancel); err != nil {
-			return nil, c.poison(err)
-		}
-		c.err = nil
-	}
-	if c.active != nil {
-		return nil, errors.New("client: previous stream not closed")
+	if err := c.ready(opts.Cancel); err != nil {
+		return nil, err
 	}
 	q := wire.Query{
 		TimeoutMicros: opts.Timeout.Microseconds(),
@@ -429,6 +418,25 @@ func (c *Conn) Query(sql string, opts Options) (*Stream, error) {
 	st := &Stream{conn: c, q: q, cancel: opts.Cancel}
 	c.active = st
 	return st, nil
+}
+
+// ready prepares the connection for a new request. A reconnectable
+// connection loss is not fatal to the Conn: the next request
+// transparently redials. A stream still open refuses the request.
+func (c *Conn) ready(cancel <-chan struct{}) error {
+	if c.err != nil {
+		if !c.canReconnect() || !errors.Is(c.err, ErrConnectionLost) {
+			return c.err
+		}
+		if err := c.redial(cancel); err != nil {
+			return c.poison(err)
+		}
+		c.err = nil
+	}
+	if c.active != nil {
+		return errors.New("client: previous stream not closed")
+	}
+	return nil
 }
 
 func (c *Conn) sendQuery(q wire.Query) error {
@@ -645,32 +653,30 @@ func (s *Stream) Close() error {
 	return s.err
 }
 
-// Scatter sends one ShardQuery and consumes the shard stream: fn is
-// called for every partition-tagged ShardBatch in arrival order, and the
-// worker's ShardDone summary is returned on success. Unlike Query,
-// Scatter never resubmits after a connection loss — a shuffle is
-// coordinated above this layer, where a partial scatter must be torn
-// down (staging tables dropped), not silently retried with rows already
-// landed.
-func (c *Conn) Scatter(q wire.ShardQuery, fn func(wire.ShardBatch) error) (wire.ShardDone, error) {
-	var zero wire.ShardDone
-	if c.err != nil {
-		if !c.canReconnect() || !errors.Is(c.err, ErrConnectionLost) {
-			return zero, c.err
-		}
-		if err := c.redial(nil); err != nil {
-			return zero, c.poison(err)
-		}
-		c.err = nil
-	}
-	if c.active != nil {
-		return zero, errors.New("client: previous stream not closed")
+// exchange sends one cluster request frame and runs its response loop —
+// the one loop Scatter, Snapshot and Load share. Every frame except
+// Error goes to handle, which reports done once the response is
+// complete. The rules: each frame wait is bounded by IOTimeout; a typed
+// Error frame ends the exchange and leaves the connection usable; a lost
+// or silent transport poisons the connection, and so does a handler
+// error (an undecodable or unexpected frame, or the consumer bailing) —
+// frames may still be in flight, so the transport is closed and the
+// connection counts as lost. An exchange is never resubmitted: the
+// coordinator above decides what a partial response means.
+func (c *Conn) exchange(typ byte, payload []byte, handle func(typ byte, payload []byte) (done bool, err error)) error {
+	if err := c.ready(nil); err != nil {
+		return err
 	}
 	if !c.Cluster() {
-		return zero, errors.New("client: server did not grant the cluster feature")
+		return errors.New("client: server did not grant the cluster feature")
 	}
-	if err := c.tr.write(wire.FrameShardQuery, wire.EncodeShardQuery(q), 0); err != nil {
-		return zero, c.poison(&ConnectionLostError{Cause: err})
+	if err := c.tr.write(typ, payload, 0); err != nil {
+		return c.poison(&ConnectionLostError{Cause: err})
+	}
+	fail := func(err error) error {
+		c.tr.close()
+		c.poison(&ConnectionLostError{Cause: err})
+		return err
 	}
 	var tm *time.Timer
 	var timeout <-chan time.Time
@@ -680,7 +686,6 @@ func (c *Conn) Scatter(q wire.ShardQuery, fn func(wire.ShardBatch) error) (wire.
 		timeout = tm.C
 	}
 	for {
-		tr := c.tr
 		if tm != nil {
 			if !tm.Stop() {
 				select {
@@ -691,141 +696,105 @@ func (c *Conn) Scatter(q wire.ShardQuery, fn func(wire.ShardBatch) error) (wire.
 			tm.Reset(c.opts.IOTimeout)
 		}
 		select {
-		case m := <-tr.recv:
-			switch m.typ {
-			case wire.FrameShardBatch:
-				b, err := wire.DecodeShardBatch(m.payload)
-				if err != nil {
-					return zero, c.poison(err)
-				}
-				if err := fn(b); err != nil {
-					// The consumer bailed with frames still in flight; this
-					// transport cannot be reused mid-stream. Mark it lost so
-					// a reconnect-configured conn heals on its next use.
-					c.tr.close()
-					c.poison(&ConnectionLostError{Cause: err})
-					return zero, err
-				}
-			case wire.FrameShardDone:
-				d, err := wire.DecodeShardDone(m.payload)
-				if err != nil {
-					return zero, c.poison(err)
-				}
-				return d, nil
-			case wire.FrameError:
+		case m := <-c.tr.recv:
+			if m.typ == wire.FrameError {
 				f, err := wire.DecodeError(m.payload)
 				if err != nil {
-					return zero, c.poison(err)
+					return fail(err)
 				}
 				rerr := &wire.RemoteError{Frame: f}
 				c.noteOverload(rerr)
-				// A typed query failure leaves the connection usable.
-				return zero, rerr
-			default:
-				return zero, c.poison(fmt.Errorf("client: unexpected frame 0x%02x during scatter", m.typ))
+				return rerr
 			}
-		case <-tr.done:
-			lost := &ConnectionLostError{Cause: tr.readErr}
-			return zero, c.poison(lost)
+			done, err := handle(m.typ, m.payload)
+			if err != nil {
+				return fail(err)
+			}
+			if done {
+				return nil
+			}
+		case <-c.tr.done:
+			return c.poison(&ConnectionLostError{Cause: c.tr.readErr})
 		case <-timeout:
 			c.tr.close()
-			err := fmt.Errorf("client: no frame within %v: %w", c.opts.IOTimeout, ErrConnectionLost)
-			return zero, c.poison(err)
+			return c.poison(fmt.Errorf("client: no frame within %v: %w", c.opts.IOTimeout, ErrConnectionLost))
 		}
 	}
 }
 
+// Scatter sends one ShardQuery and consumes the shard stream: fn is
+// called for every partition-tagged ShardBatch in arrival order, and the
+// worker's ShardDone summary is returned on success. A shuffle is
+// coordinated above this layer, where a partial scatter must be torn
+// down (staging tables dropped), not silently retried with rows already
+// landed.
+func (c *Conn) Scatter(q wire.ShardQuery, fn func(wire.ShardBatch) error) (wire.ShardDone, error) {
+	var done wire.ShardDone
+	err := c.exchange(wire.FrameShardQuery, wire.EncodeShardQuery(q), func(typ byte, p []byte) (bool, error) {
+		switch typ {
+		case wire.FrameShardBatch:
+			b, err := wire.DecodeShardBatch(p)
+			if err != nil {
+				return false, err
+			}
+			return false, fn(b)
+		case wire.FrameShardDone:
+			var err error
+			done, err = wire.DecodeShardDone(p)
+			return true, err
+		}
+		return false, fmt.Errorf("client: unexpected frame 0x%02x during scatter", typ)
+	})
+	return done, err
+}
+
 // Snapshot asks a worker for a full copy of one table: the table's
 // schema comes back first, then fn is called for every RowBatch, and the
-// Done summary is returned on success. Like Scatter it never resubmits —
-// a rejoin re-ships the whole snapshot from scratch if the link dies.
+// Done summary is returned on success. A rejoin re-ships the whole
+// snapshot from scratch if the link dies.
 func (c *Conn) Snapshot(table string, fn func(wire.RowBatch) error) (wire.SnapshotMeta, wire.Done, error) {
 	var meta wire.SnapshotMeta
 	var done wire.Done
-	if c.err != nil {
-		return meta, done, c.err
-	}
-	if c.active != nil {
-		return meta, done, errors.New("client: previous stream not closed")
-	}
-	if !c.Cluster() {
-		return meta, done, errors.New("client: server did not grant the cluster feature")
-	}
-	if err := c.tr.write(wire.FrameSnapshot, wire.EncodeSnapshot(wire.Snapshot{Table: table}), 0); err != nil {
-		return meta, done, c.poison(&ConnectionLostError{Cause: err})
-	}
-	var tm *time.Timer
-	var timeout <-chan time.Time
-	if io := c.opts.IOTimeout; io > 0 {
-		tm = time.NewTimer(io)
-		defer tm.Stop()
-		timeout = tm.C
-	}
 	gotMeta := false
-	for {
-		tr := c.tr
-		if tm != nil {
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
+	err := c.exchange(wire.FrameSnapshot, wire.EncodeSnapshot(wire.Snapshot{Table: table}), func(typ byte, p []byte) (bool, error) {
+		var err error
+		switch {
+		case typ == wire.FrameSnapshotMeta:
+			meta, err = wire.DecodeSnapshotMeta(p)
+			gotMeta = err == nil
+			return false, err
+		case !gotMeta:
+			return false, fmt.Errorf("client: frame 0x%02x before snapshot meta", typ)
+		case typ == wire.FrameRowBatch:
+			b, err := wire.DecodeRowBatch(p)
+			if err != nil {
+				return false, err
 			}
-			tm.Reset(c.opts.IOTimeout)
+			return false, fn(b)
+		case typ == wire.FrameDone:
+			done, err = wire.DecodeDone(p)
+			return true, err
 		}
-		select {
-		case m := <-tr.recv:
-			switch m.typ {
-			case wire.FrameSnapshotMeta:
-				sm, err := wire.DecodeSnapshotMeta(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				meta, gotMeta = sm, true
-			case wire.FrameRowBatch:
-				if !gotMeta {
-					return meta, done, c.poison(errors.New("client: snapshot rows before meta"))
-				}
-				b, err := wire.DecodeRowBatch(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				if err := fn(b); err != nil {
-					c.tr.close()
-					c.poison(&ConnectionLostError{Cause: err})
-					return meta, done, err
-				}
-			case wire.FrameDone:
-				d, err := wire.DecodeDone(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				if !gotMeta {
-					return meta, done, c.poison(errors.New("client: snapshot ended before meta"))
-				}
-				return meta, d, nil
-			case wire.FrameError:
-				f, err := wire.DecodeError(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				rerr := &wire.RemoteError{Frame: f}
-				c.noteOverload(rerr)
-				// A typed failure (e.g. unknown relation) leaves the
-				// connection usable.
-				return meta, done, rerr
-			default:
-				return meta, done, c.poison(fmt.Errorf("client: unexpected frame 0x%02x during snapshot", m.typ))
-			}
-		case <-tr.done:
-			lost := &ConnectionLostError{Cause: tr.readErr}
-			return meta, done, c.poison(lost)
-		case <-timeout:
-			c.tr.close()
-			err := fmt.Errorf("client: no frame within %v: %w", c.opts.IOTimeout, ErrConnectionLost)
-			return meta, done, c.poison(err)
+		return false, fmt.Errorf("client: unexpected frame 0x%02x during snapshot", typ)
+	})
+	return meta, done, err
+}
+
+// Load appends rows to one table on a worker with a single LoadRows
+// frame, whose payload is a WAL RecInsert record (wal.AppendPayload). It
+// returns the worker's Done — Rows is the count appended — which the
+// worker sends only once the rows are durable.
+func (c *Conn) Load(payload []byte) (wire.Done, error) {
+	var done wire.Done
+	err := c.exchange(wire.FrameLoadRows, payload, func(typ byte, p []byte) (bool, error) {
+		if typ != wire.FrameDone {
+			return false, fmt.Errorf("client: unexpected frame 0x%02x during load", typ)
 		}
-	}
+		var err error
+		done, err = wire.DecodeDone(p)
+		return true, err
+	})
+	return done, err
 }
 
 // Result is a fully materialized query result, for callers that do not

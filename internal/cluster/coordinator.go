@@ -15,10 +15,12 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/qctx"
+	"repro/internal/rowcodec"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -39,22 +41,10 @@ type Config struct {
 	DialTimeout time.Duration
 	// IOTimeout bounds each per-frame wait on worker connections.
 	IOTimeout time.Duration
-	// InsertBatch bounds rows per INSERT statement when routing loads
-	// and flushing shuffles (0 = 256).
-	InsertBatch int
-	// PoolIdle bounds idle pooled connections per worker (0 = 4).
-	PoolIdle int
 	// ProbeInterval is the health prober's cadence: suspect workers are
 	// probe-dialed back to healthy, dead workers are automatically
 	// rejoined via snapshot re-ship (0 = 1s, negative = no prober).
 	ProbeInterval time.Duration
-}
-
-func (c Config) insertBatch() int {
-	if c.InsertBatch <= 0 {
-		return 256
-	}
-	return c.InsertBatch
 }
 
 func (c Config) replicas() int {
@@ -129,15 +119,13 @@ func New(cfg Config) (*Coordinator, error) {
 	co.staging.tables = make(map[string]map[int]bool)
 	opts := client.DialOptions{Timeout: cfg.DialTimeout, IOTimeout: cfg.IOTimeout}
 	for _, addr := range cfg.Workers {
-		co.pools = append(co.pools, client.NewPool(addr, opts, cfg.PoolIdle))
+		co.pools = append(co.pools, client.NewPool(addr, opts, 4))
 	}
 	for w := range co.pools {
-		conn, err := co.getConn(w)
-		if err != nil {
+		if err := co.call(w, func(*client.Conn) error { return nil }); err != nil {
 			co.Close()
 			return nil, err
 		}
-		co.pools[w].Put(conn)
 	}
 	if interval := cfg.ProbeInterval; interval >= 0 {
 		if interval == 0 {
@@ -220,44 +208,44 @@ func (co *Coordinator) hostedShards(w int) []int {
 	return out
 }
 
-// getConn checks a connection to worker w out of its pool. Failures are
-// transport-class by construction (dial refusal, handshake loss), so
-// they count against the breaker and come back as *WorkerLostError.
-func (co *Coordinator) getConn(w int) (*client.Conn, error) {
+// call runs one exchange with worker w on a pooled connection and
+// applies the rules every worker call shares. A transport failure —
+// including a failed dial or handshake, or a server that does not grant
+// the cluster feature — discards the connection, counts against the
+// breaker, and comes back as *WorkerLostError. A typed answer proves the
+// worker alive: the connection goes back to the pool and the error
+// passes through untouched. A clean exchange heals the breaker.
+func (co *Coordinator) call(w int, fn func(*client.Conn) error) error {
 	conn, err := co.pools[w].Get()
-	if err == nil && !conn.Cluster() {
-		co.pools[w].Discard(conn)
-		err = errors.New("did not grant the cluster feature")
-	}
-	if err != nil {
-		co.health.markFailure(w)
-		return nil, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
-	}
-	return conn, nil
-}
-
-// collect runs one statement on worker w through its pool, classifying
-// the outcome: transport failures discard the conn, trip the breaker,
-// and come back as *WorkerLostError; typed answers return the conn and
-// pass through untouched.
-func (co *Coordinator) collect(w int, sql string) (*client.Result, error) {
-	conn, err := co.getConn(w)
-	if err != nil {
-		return nil, err
-	}
-	res, err := conn.Collect(sql, client.Options{Timeout: co.cfg.IOTimeout})
-	if err != nil {
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			return nil, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
+	lost := err != nil
+	if err == nil {
+		if !conn.Cluster() {
+			err, lost = errors.New("did not grant the cluster feature"), true
+		} else if err = fn(conn); err != nil {
+			lost = transportFailure(err)
 		}
-		co.pools[w].Put(conn)
-		return nil, err
+	}
+	if lost {
+		co.pools[w].Discard(conn)
+		co.health.markFailure(w)
+		return &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
 	}
 	co.pools[w].Put(conn)
-	co.health.markSuccess(w)
-	return res, nil
+	if err == nil {
+		co.health.markSuccess(w)
+	}
+	return err
+}
+
+// collect runs one SQL statement on worker w and materializes its answer.
+func (co *Coordinator) collect(w int, sql string) (*client.Result, error) {
+	var res *client.Result
+	err := co.call(w, func(c *client.Conn) error {
+		var err error
+		res, err = c.Collect(sql, client.Options{Timeout: co.cfg.IOTimeout})
+		return err
+	})
+	return res, err
 }
 
 // ExecSQL runs a script of statements against the cluster, mirroring
@@ -399,7 +387,7 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 		return 0, fmt.Errorf("cluster: relation %s has no placement column", rel.Name)
 	}
 	part := Partitioner{NumShards: co.nshards, KeyCols: []int{pidx}}
-	routed := make([][][]value.Value, co.nshards)
+	routed := make([][]storage.Tuple, co.nshards)
 	for _, row := range stmt.Rows {
 		if len(row) != len(rel.Columns) {
 			return 0, fmt.Errorf("cluster: INSERT row has %d values, %s has %d columns",
@@ -417,7 +405,7 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 		routed[d] = append(routed[d], t)
 	}
 	write := func(w, s int) (int64, error) {
-		return co.insertRows(w, physName(rel.Name, s), routed[s])
+		return co.insertRows(w, physName(rel.Name, s), routed[s], loadLimit)
 	}
 	return co.fanOutWrite(routed, write)
 }
@@ -426,7 +414,7 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 // settles each shard: at least one ack commits the shard (its row count
 // counted once); a replica that failed while a peer acked has diverged
 // and is marked dead; a shard with zero acks fails the statement.
-func (co *Coordinator) fanOutWrite(routed [][][]value.Value, write func(w, s int) (int64, error)) (int64, error) {
+func (co *Coordinator) fanOutWrite(routed [][]storage.Tuple, write func(w, s int) (int64, error)) (int64, error) {
 	type attempt struct {
 		w, s int
 		n    int64
@@ -488,25 +476,52 @@ func (co *Coordinator) fanOutWrite(routed [][][]value.Value, write func(w, s int
 	return affected, nil
 }
 
-// insertRows flushes rows to one worker's physical table in
-// InsertBatch-sized chunks.
-func (co *Coordinator) insertRows(worker int, table string, rows [][]value.Value) (int64, error) {
+// loadLimit caps one LoadRows payload: the most a checksummed frame
+// carries besides its type byte and CRC32C trailer.
+const loadLimit = wire.MaxFrame - 5
+
+// insertRows appends rows to one worker's physical table in LoadRows
+// frames, each as many rows as fit in limit encoded bytes (loadLimit in
+// production), and returns the count the worker acknowledged.
+func (co *Coordinator) insertRows(w int, table string, rows []storage.Tuple, limit int) (int64, error) {
 	var n int64
-	batch := co.cfg.insertBatch()
 	for len(rows) > 0 {
-		chunk := rows
-		if len(chunk) > batch {
-			chunk = chunk[:batch]
-		}
-		rows = rows[len(chunk):]
-		stmt := &sqlparser.InsertStmt{Table: table, Rows: chunk}
-		res, err := co.collect(worker, stmt.String())
+		payload, rest, err := loadPayload(table, rows, limit)
 		if err != nil {
 			return n, err
 		}
-		n += res.Done.Rows
+		rows = rest
+		err = co.call(w, func(c *client.Conn) error {
+			done, err := c.Load(payload)
+			n += done.Rows
+			return err
+		})
+		if err != nil {
+			return n, err
+		}
 	}
 	return n, nil
+}
+
+// loadPayload encodes the longest prefix of rows whose WAL RecInsert
+// record fits in limit bytes, returning the record and the rows left.
+func loadPayload(table string, rows []storage.Tuple, limit int) ([]byte, []storage.Tuple, error) {
+	// The empty record ends in a one-byte row count; reserve the widest
+	// count instead.
+	size := len(wal.AppendPayload(nil, wal.Record{Type: wal.RecInsert, Table: table})) - 1 + binary.MaxVarintLen64
+	var scratch []byte
+	k := 0
+	for ; k < len(rows); k++ {
+		scratch = rowcodec.AppendTuple(scratch[:0], rows[k])
+		if size+len(scratch) > limit {
+			break
+		}
+		size += len(scratch)
+	}
+	if k == 0 {
+		return nil, nil, fmt.Errorf("cluster: a %d-byte row of %s exceeds the %d-byte frame limit", len(scratch), table, limit)
+	}
+	return wal.AppendPayload(nil, wal.Record{Type: wal.RecInsert, Table: table, Rows: rows[:k]}), rows[k:], nil
 }
 
 // execFilterDML fans a DELETE or UPDATE whose WHERE clause is row-local
@@ -766,7 +781,7 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 	for i, c := range rel.Columns {
 		colNames[i] = c.Name
 	}
-	sourced := make([][][][]value.Value, co.nshards)
+	sourced := make([][][]storage.Tuple, co.nshards)
 	scatterErr := make([]error, co.nshards)
 	var wg sync.WaitGroup
 	for s := 0; s < co.nshards; s++ {
@@ -784,7 +799,7 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 			return "", phys, fmt.Errorf("cluster: scatter of %s shard %d: %w", rel.Name, s, err)
 		}
 	}
-	routed := make([][][]value.Value, co.nshards)
+	routed := make([][]storage.Tuple, co.nshards)
 	for _, local := range sourced {
 		for d, rows := range local {
 			routed[d] = append(routed[d], rows...)
@@ -808,7 +823,7 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 			wg.Add(1)
 			go func(l *landing) {
 				defer wg.Done()
-				_, l.err = co.insertRows(l.w, physName(sname, l.d), routed[l.d])
+				_, l.err = co.insertRows(l.w, physName(sname, l.d), routed[l.d], loadLimit)
 			}(l)
 		}
 	}
@@ -840,47 +855,36 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 // that can serve it, returning rows routed by destination. Rows buffer
 // per attempt: a mid-stream loss discards the partial buffer and the
 // next replica restarts the scatter from scratch.
-func (co *Coordinator) scatterShard(s int, q wire.ShardQuery) ([][][]value.Value, error) {
+func (co *Coordinator) scatterShard(s int, q wire.ShardQuery) ([][]storage.Tuple, error) {
 	var lastErr error
 	for _, w := range co.replicasOf(s) {
 		if !co.health.live(w) {
 			continue
 		}
-		conn, err := co.getConn(w)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		local := make([][][]value.Value, co.nshards)
-		_, err = conn.Scatter(q, func(b wire.ShardBatch) error {
-			if int(b.Shard) >= len(local) {
-				return fmt.Errorf("cluster: worker %d sent shard %d of %d", w, b.Shard, len(local))
-			}
-			for _, row := range b.Batch.Rows {
-				local[b.Shard] = append(local[b.Shard], []value.Value(row))
-			}
-			return nil
+		local := make([][]storage.Tuple, co.nshards)
+		err := co.call(w, func(c *client.Conn) error {
+			_, err := c.Scatter(q, func(b wire.ShardBatch) error {
+				if int(b.Shard) >= len(local) {
+					return fmt.Errorf("cluster: worker %d sent shard %d of %d", w, b.Shard, len(local))
+				}
+				local[b.Shard] = append(local[b.Shard], b.Batch.Rows...)
+				return nil
+			})
+			return err
 		})
-		if err == nil {
-			co.pools[w].Put(conn)
-			co.health.markSuccess(w)
+		switch {
+		case err == nil:
 			return local, nil
-		}
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			lastErr = &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
-			continue
-		}
-		co.pools[w].Put(conn)
-		if unknownRelation(err) {
+		case transportFailure(err):
+			lastErr = err
+		case unknownRelation(err):
 			// The replica is missing a physical table it must host: it
 			// restarted empty and needs a snapshot rejoin.
 			co.health.markDead(w)
 			lastErr = err
-			continue
+		default:
+			return nil, err
 		}
-		return nil, err
 	}
 	if lastErr != nil {
 		return nil, lastErr
@@ -1007,44 +1011,31 @@ func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options,
 // the rows (the failover fence: nothing merges until the round
 // succeeds whole).
 func (co *Coordinator) shardRound(w int, sql string, copts client.Options, maxRows int64) ([]storage.Tuple, wire.Done, error) {
-	var zero wire.Done
-	conn, err := co.getConn(w)
-	if err != nil {
-		return nil, zero, err
-	}
-	st, err := conn.Query(sql, copts)
-	if err != nil {
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			return nil, zero, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
-		}
-		co.pools[w].Put(conn)
-		return nil, zero, err
-	}
 	var rows []storage.Tuple
-	for st.Next() {
-		rows = append(rows, append(storage.Tuple(nil), st.Row()...))
-		if maxRows > 0 && int64(len(rows)) > maxRows {
-			// One shard already exceeds the global budget: stop pulling
-			// before a runaway result fills the heap.
-			st.Close()
-			co.pools[w].Discard(conn)
-			return nil, zero, qctx.ErrRowBudget
+	var stats wire.Done
+	err := co.call(w, func(c *client.Conn) error {
+		st, err := c.Query(sql, copts)
+		if err != nil {
+			return err
 		}
-	}
-	if err := st.Close(); err != nil {
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			return nil, zero, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
+		for st.Next() {
+			rows = append(rows, append(storage.Tuple(nil), st.Row()...))
+			if maxRows > 0 && int64(len(rows)) > maxRows {
+				// One shard already exceeds the global budget: stop pulling
+				// before a runaway result fills the heap.
+				st.Close()
+				return qctx.ErrRowBudget
+			}
 		}
-		co.pools[w].Put(conn)
-		return nil, zero, err
+		if err := st.Close(); err != nil {
+			return err
+		}
+		stats = st.Stats()
+		return nil
+	})
+	if err != nil {
+		return nil, wire.Done{}, err
 	}
-	stats := st.Stats()
-	co.pools[w].Put(conn)
-	co.health.markSuccess(w)
 	return rows, stats, nil
 }
 

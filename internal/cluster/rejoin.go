@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/schema"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -65,10 +64,10 @@ func (co *Coordinator) rejoinLocked(w int) error {
 }
 
 // shipSnapshot rebuilds one physical table on dst from src's copy: drop
-// any stale remnant, recreate from the coordinator's schema, stream the
-// snapshot across in InsertBatch-sized chunks, and verify src's shipped
-// schema matches — a mismatch means the replicas diverged structurally
-// and the rejoin must not paper over it.
+// any stale remnant, recreate from the coordinator's schema, forward each
+// snapshot RowBatch to dst as a LoadRows frame as it arrives, and verify
+// src's shipped schema matches — a mismatch means the replicas diverged
+// structurally and the rejoin must not paper over it.
 func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
 	create := RenderCreate(srel)
 	if err := co.dropIgnoreMissing(dst, srel.Name); err != nil {
@@ -77,41 +76,25 @@ func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
 	if _, err := co.collect(dst, create); err != nil {
 		return err
 	}
-	sconn, err := co.getConn(src)
-	if err != nil {
-		return err
-	}
-	var chunk [][]value.Value
-	batch := co.cfg.insertBatch()
-	flush := func() error {
-		if len(chunk) == 0 {
+	var meta wire.SnapshotMeta
+	var loadErr error
+	err := co.call(src, func(c *client.Conn) error {
+		var err error
+		meta, _, err = c.Snapshot(srel.Name, func(b wire.RowBatch) error {
+			_, loadErr = co.insertRows(dst, srel.Name, b.Rows, loadLimit)
+			return loadErr
+		})
+		if loadErr != nil {
+			// dst failed and insertRows already classified it; src answered
+			// fine, so its aborted stream must not count against it.
 			return nil
 		}
-		_, err := co.insertRows(dst, srel.Name, chunk)
-		chunk = chunk[:0]
 		return err
-	}
-	meta, _, err := sconn.Snapshot(srel.Name, func(b wire.RowBatch) error {
-		for _, row := range b.Rows {
-			chunk = append(chunk, append([]value.Value(nil), row...))
-		}
-		if len(chunk) >= batch {
-			return flush()
-		}
-		return nil
 	})
-	if err != nil {
-		if transportFailure(err) {
-			co.pools[src].Discard(sconn)
-			co.health.markFailure(src)
-			return &WorkerLostError{Worker: src, Addr: co.pools[src].Addr(), Cause: err}
-		}
-		co.pools[src].Put(sconn)
-		return err
+	if loadErr != nil {
+		return loadErr
 	}
-	co.pools[src].Put(sconn)
-	co.health.markSuccess(src)
-	if err := flush(); err != nil {
+	if err != nil {
 		return err
 	}
 	if meta.CreateSQL != create {
@@ -158,13 +141,9 @@ func (co *Coordinator) Probe(w int) bool {
 }
 
 // probeWorker checks reachability with a trivial statement. A healthy
-// exchange heals a suspect worker (collect marks success); for a dead
+// exchange heals a suspect worker (call marks success); for a dead
 // worker it only reports reachability — rejoin decides the rest.
 func (co *Coordinator) probeWorker(w int) bool {
-	conn, err := co.getConn(w)
-	if err != nil {
-		return false
-	}
 	// An idle pooled conn can be stale; a real round-trip proves the
 	// worker serves. The probed name's logical part (__PROBE__) lies
 	// inside the reserved __ namespace, so no CREATE can ever make it
@@ -172,12 +151,16 @@ func (co *Coordinator) probeWorker(w int) bool {
 	// and the DROP answers fast and touches nothing. (A bare PROBE__S0
 	// would NOT be safe: user table PROBE is legal, and its shard-0
 	// slice is exactly that name.)
-	_, err = conn.Collect("DROP TABLE __PROBE____S0", client.Options{Timeout: co.cfg.IOTimeout})
-	if err != nil && !unknownRelation(err) {
-		co.pools[w].Discard(conn)
-		return false
-	}
-	co.pools[w].Put(conn)
-	co.health.markSuccess(w)
-	return true
+	err := co.call(w, func(c *client.Conn) error {
+		_, err := c.Collect("DROP TABLE __PROBE____S0", client.Options{Timeout: co.cfg.IOTimeout})
+		if err == nil || unknownRelation(err) {
+			return nil
+		}
+		// A stale pooled conn failing its round trip is no breaker
+		// evidence: %v keeps the failure untyped, so call returns the
+		// poisoned conn to the pool, which drops it, and the next probe
+		// dials fresh.
+		return fmt.Errorf("cluster: probe of worker %d: %v", w, err)
+	})
+	return err == nil
 }

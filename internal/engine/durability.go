@@ -111,10 +111,7 @@ func (db *DB) applyRecord(r wal.Record) error {
 		}
 		return db.CreateRelation(rel, r.Schema.TuplesPerPage)
 	case wal.RecInsert:
-		if err := db.Insert(r.Table, r.Rows...); err != nil {
-			return err
-		}
-		return db.Seal(r.Table)
+		return db.insert(r.Table, r.Rows, true)
 	case wal.RecDelete:
 		stmt, err := sqlparser.ParseStatement(r.SQL)
 		if err != nil {

@@ -79,13 +79,14 @@ type DB struct {
 	spill          *spill.Manager // nil unless EnableSpill was called
 	spillThreshold int64
 
-	// Durability (nil/zero unless EnableDurability was called). dmlMu is
-	// the commit-order lock: DML and Checkpoint hold it exclusively,
-	// queries hold it shared, so readers never see a half-applied
-	// statement and WAL append order equals apply order. Internal
-	// re-runs (noAdmission) skip the shared acquire — they execute
-	// inside a query that already holds it.
-	dmlMu    sync.RWMutex
+	// dmlMu is the DML lock, durable or not: DDL, DML and Checkpoint
+	// hold it exclusively, queries hold it shared, so readers never see
+	// a half-applied statement and WAL append order equals apply order.
+	// Internal re-runs (noAdmission) skip the shared acquire — they
+	// execute inside a query that already holds it.
+	dmlMu sync.RWMutex
+
+	// Durability (nil/zero unless EnableDurability was called).
 	wal      *wal.Log
 	recovery RecoveryInfo
 }
@@ -203,37 +204,16 @@ func (db *DB) Indexes() *index.Registry { return db.indexes }
 // tuplesPerPage <= 0 uses the storage default. With durability enabled
 // it is acknowledged only after the schema record is logged.
 func (db *DB) CreateRelation(rel *schema.Relation, tuplesPerPage int) error {
-	if db.wal == nil {
-		return db.createRelationApply(rel, tuplesPerPage)
-	}
-	commit, err := db.createRelationDurable(rel, tuplesPerPage)
-	if err != nil {
-		return err
-	}
-	return commit.Wait()
-}
-
-func (db *DB) createRelationDurable(rel *schema.Relation, tuplesPerPage int) (wal.Commit, error) {
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, err // poisoned: refuse before touching state
-	}
-	if err := db.createRelationApply(rel, tuplesPerPage); err != nil {
-		return wal.Commit{}, err
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecCreateTable, Schema: walSchema(rel, tuplesPerPage)})
-}
-
-func (db *DB) createRelationApply(rel *schema.Relation, tuplesPerPage int) error {
-	if err := db.cat.Define(rel); err != nil {
-		return err
-	}
-	if _, err := db.store.Create(rel.Name, tuplesPerPage); err != nil {
-		db.cat.Drop(rel.Name)
-		return err
-	}
-	return nil
+	return db.mutate(func() (*wal.Record, error) {
+		if err := db.cat.Define(rel); err != nil {
+			return nil, err
+		}
+		if _, err := db.store.Create(rel.Name, tuplesPerPage); err != nil {
+			db.cat.Drop(rel.Name)
+			return nil, err
+		}
+		return &wal.Record{Type: wal.RecCreateTable, Schema: walSchema(rel, tuplesPerPage)}, nil
+	})
 }
 
 // DropRelation removes a relation: its schema, heap file, and any
@@ -241,110 +221,108 @@ func (db *DB) createRelationApply(rel *schema.Relation, tuplesPerPage int) error
 // only after the record is logged — replaying a log that creates and
 // later drops a table converges to the same catalog.
 func (db *DB) DropRelation(name string) error {
-	if db.wal == nil {
-		return db.dropRelationApply(name)
-	}
-	commit, err := db.dropRelationDurable(name)
-	if err != nil {
-		return err
-	}
-	return commit.Wait()
-}
-
-func (db *DB) dropRelationDurable(name string) (wal.Commit, error) {
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, err // poisoned: refuse before touching state
-	}
-	if err := db.dropRelationApply(name); err != nil {
-		return wal.Commit{}, err
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecDrop, Table: name})
-}
-
-func (db *DB) dropRelationApply(name string) error {
-	rel, ok := db.cat.Lookup(name)
-	if !ok {
-		return fmt.Errorf("engine: unknown relation %s", name)
-	}
-	db.indexes.DropRelation(rel.Name)
-	db.cat.Drop(rel.Name)
-	db.store.Drop(rel.Name)
-	return nil
+	return db.mutate(func() (*wal.Record, error) {
+		rel, ok := db.cat.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown relation %s", name)
+		}
+		db.indexes.DropRelation(rel.Name)
+		db.cat.Drop(rel.Name)
+		db.store.Drop(rel.Name)
+		return &wal.Record{Type: wal.RecDrop, Table: name}, nil
+	})
 }
 
 // Insert appends rows to a relation. Call Seal (or run a query, which does
 // not require sealing) when bulk loading is done; Insert seals lazily via
 // the storage layer's accounting only when pages fill. With durability
-// enabled the rows are applied and logged under the DML lock and the call
-// returns only once the commit record is durable.
+// enabled the call returns only once the commit record is durable.
 func (db *DB) Insert(relation string, rows ...storage.Tuple) error {
-	if db.wal == nil {
-		return db.insertApply(relation, rows...)
-	}
-	commit, err := db.insertDurable(relation, rows)
-	if err != nil {
-		return err
-	}
-	return commit.Wait()
+	return db.insert(relation, rows, false)
 }
 
-func (db *DB) insertDurable(relation string, rows []storage.Tuple) (wal.Commit, error) {
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, err // poisoned: refuse before touching state
-	}
-	if err := db.insertApply(relation, rows...); err != nil {
-		return wal.Commit{}, err
-	}
-	if len(rows) == 0 {
-		return wal.Commit{}, nil
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecInsert, Table: relation, Rows: rows})
-}
-
-func (db *DB) insertApply(relation string, rows ...storage.Tuple) error {
-	rel, ok := db.cat.Lookup(relation)
-	if !ok {
-		return fmt.Errorf("engine: unknown relation %s", relation)
-	}
-	f, ok := db.store.Lookup(rel.Name)
-	if !ok {
-		return fmt.Errorf("engine: relation %s has no storage", relation)
-	}
-	// Validate the whole batch before touching storage, and unwind a
-	// fault panic mid-batch back to the pre-insert boundary: the batch
-	// lands whole or not at all.
-	for _, r := range rows {
-		if len(r) != len(rel.Columns) {
-			return fmt.Errorf("engine: row %v does not match schema of %s", r, relation)
+// insert applies rows as one batch under the DML lock — sealing the
+// relation in the same hold when asked, so no reader sees the rows
+// without their page accounting — and logs them as one RecInsert record.
+func (db *DB) insert(relation string, rows []storage.Tuple, seal bool) error {
+	return db.mutate(func() (*wal.Record, error) {
+		rel, ok := db.cat.Lookup(relation)
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown relation %s", relation)
 		}
-	}
-	before := f.NumTuples()
-	defer func() {
-		if r := recover(); r != nil {
-			f.TruncateTo(before)
-			panic(r)
+		f, ok := db.store.Lookup(rel.Name)
+		if !ok {
+			return nil, fmt.Errorf("engine: relation %s has no storage", relation)
 		}
-	}()
-	for _, r := range rows {
-		f.Append(r)
-	}
-	// Indexes are snapshots of the data at build time.
-	db.indexes.DropRelation(rel.Name)
-	return nil
+		// Validate the whole batch before touching storage, and unwind a
+		// fault panic mid-batch back to the pre-insert boundary: the batch
+		// lands whole or not at all.
+		for _, r := range rows {
+			if len(r) != len(rel.Columns) {
+				return nil, fmt.Errorf("engine: row %v does not match schema of %s", r, relation)
+			}
+		}
+		before := f.NumTuples()
+		defer func() {
+			if r := recover(); r != nil {
+				f.TruncateTo(before)
+				panic(r)
+			}
+		}()
+		for _, r := range rows {
+			f.Append(r)
+		}
+		if seal {
+			f.Seal()
+		}
+		// Indexes are snapshots of the data at build time.
+		db.indexes.DropRelation(rel.Name)
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		return &wal.Record{Type: wal.RecInsert, Table: relation, Rows: rows}, nil
+	})
 }
 
 // Seal finishes bulk loading a relation (accounts the final partial page).
 func (db *DB) Seal(relation string) error {
+	db.dmlMu.Lock()
+	defer db.dmlMu.Unlock()
 	f, ok := db.store.Lookup(relation)
 	if !ok {
 		return fmt.Errorf("engine: unknown relation %s", relation)
 	}
 	f.Seal()
 	return nil
+}
+
+// mutate is the one write path for catalog and heap changes, durable or
+// not: it holds the exclusive DML lock across apply and log append, so
+// queries (which hold it shared) never see a half-applied change and log
+// order equals apply order. With durability enabled a poisoned log
+// refuses before state is touched, and the record apply returns is
+// appended before the lock drops; a nil record logs nothing. The commit
+// is awaited after the lock drops, so concurrent writers share group
+// commits. A fault panic in apply unwinds through the deferred unlock.
+func (db *DB) mutate(apply func() (*wal.Record, error)) error {
+	commit, err := func() (wal.Commit, error) {
+		db.dmlMu.Lock()
+		defer db.dmlMu.Unlock()
+		if db.wal != nil {
+			if err := db.wal.Err(); err != nil {
+				return wal.Commit{}, err // poisoned: refuse before touching state
+			}
+		}
+		rec, err := apply()
+		if err != nil || rec == nil || db.wal == nil {
+			return wal.Commit{}, err
+		}
+		return db.wal.Append(*rec)
+	}()
+	if err != nil {
+		return err
+	}
+	return commit.Wait()
 }
 
 // Options control query execution.
@@ -451,12 +429,12 @@ func (db *DB) Query(sql string, opts Options) (*Result, error) {
 
 // run executes one already-admitted (or ungoverned) statement.
 func (db *DB) run(sql string, opts Options) (*Result, error) {
-	if db.wal != nil && !opts.noAdmission {
-		// Shared commit-order lock: a query never observes a DML
-		// statement half-applied, and a checkpoint never snapshots one.
-		// Internal oracle re-runs (noAdmission) already execute under
-		// the outer query's hold — a recursive RLock could deadlock
-		// against a writer, so they must not re-acquire.
+	if !opts.noAdmission {
+		// Shared DML lock: a query never observes a DML statement
+		// half-applied, and a checkpoint never snapshots one. Internal
+		// oracle re-runs (noAdmission) already execute under the outer
+		// query's hold — a recursive RLock could deadlock against a
+		// writer, so they must not re-acquire.
 		db.dmlMu.RLock()
 		defer db.dmlMu.RUnlock()
 	}

@@ -13,11 +13,11 @@ import (
 )
 
 // Exec runs a script of semicolon-separated statements: CREATE TABLE,
-// INSERT INTO, DELETE FROM, UPDATE, and SELECT. The returned result is
-// the last SELECT's (with Affected accumulating every DML statement's
-// row count), or a bare Result carrying only Affected when the script
-// has no SELECT. DDL and DML take effect immediately; a failing
-// statement aborts the script with prior statements applied (no
+// INSERT INTO, DELETE FROM, UPDATE, DROP TABLE and SELECT. The returned
+// result is the last SELECT's (with Affected accumulating every DML
+// statement's row count), or a bare Result carrying only Affected when
+// the script has no SELECT. DDL and DML take effect immediately; a
+// failing statement aborts the script with prior statements applied (no
 // transactional rollback — the paper's world has none either). With
 // durability enabled each DML statement is acknowledged only once its
 // commit record is durable.
@@ -29,44 +29,14 @@ func (db *DB) Exec(script string, opts Options) (*Result, error) {
 	var last *Result
 	var affected int64
 	for _, stmt := range stmts {
-		switch stmt := stmt.(type) {
-		case *sqlparser.CreateTableStmt:
-			if err := db.CreateRelation(stmt.Relation, 0); err != nil {
-				return nil, err
-			}
-		case *sqlparser.InsertStmt:
-			var n int
-			if err := contain(func() error { var err error; n, err = db.execInsert(stmt); return err }); err != nil {
-				return nil, err
-			}
-			affected += int64(n)
-		case *sqlparser.DeleteStmt:
-			var n int
-			err := contain(func() error { var err error; n, err = db.execDelete(stmt); return err })
-			if err != nil {
-				return nil, err
-			}
-			affected += int64(n)
-		case *sqlparser.UpdateStmt:
-			var n int
-			err := contain(func() error { var err error; n, err = db.execUpdate(stmt); return err })
-			if err != nil {
-				return nil, err
-			}
-			affected += int64(n)
-		case *sqlparser.DropTableStmt:
-			if err := contain(func() error { return db.DropRelation(stmt.Table) }); err != nil {
-				return nil, err
-			}
-		case *sqlparser.SelectStmt:
-			res, err := db.Query(stmt.Query.String(), opts)
-			if err != nil {
-				return nil, err
-			}
-			last = res
-		default:
-			return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+		res, err := db.ExecStatement(stmt, opts)
+		if err != nil {
+			return nil, err
 		}
+		if _, ok := stmt.(*sqlparser.SelectStmt); ok {
+			last = res
+		}
+		affected += res.Affected
 	}
 	if last == nil {
 		last = &Result{Strategy: opts.Strategy}
@@ -75,25 +45,45 @@ func (db *DB) Exec(script string, opts Options) (*Result, error) {
 	return last, nil
 }
 
-// ExecSQL is the statement entry point for the network server: SELECTs
-// stream through Query (admission, sinks, strategies), everything else
-// goes through Exec. Unlike Query it accepts any statement kind.
+// ExecSQL is the statement entry point for the network server. It is
+// Exec: a SELECT streams through Query (admission, sinks, strategies),
+// and every other statement kind runs as DDL or DML.
 func (db *DB) ExecSQL(sql string, opts Options) (*Result, error) {
-	stmts, err := sqlparser.ParseScript(sql)
+	return db.Exec(sql, opts)
+}
+
+// ExecStatement runs one parsed statement. A SELECT returns its query
+// result; DDL and DML return a bare Result whose Affected is the
+// statement's row count. DML runs under panic containment, so an
+// injected storage fault comes back as a typed error.
+func (db *DB) ExecStatement(stmt sqlparser.Statement, opts Options) (*Result, error) {
+	var n int
+	var err error
+	switch stmt := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		return db.Query(stmt.Query.String(), opts)
+	case *sqlparser.CreateTableStmt:
+		err = db.CreateRelation(stmt.Relation, 0)
+	case *sqlparser.InsertStmt:
+		err = contain(func() error { n, err = db.execInsert(stmt); return err })
+	case *sqlparser.DeleteStmt:
+		err = contain(func() error { n, err = db.execDelete(stmt); return err })
+	case *sqlparser.UpdateStmt:
+		err = contain(func() error { n, err = db.execUpdate(stmt); return err })
+	case *sqlparser.DropTableStmt:
+		err = contain(func() error { return db.DropRelation(stmt.Table) })
+	default:
+		err = fmt.Errorf("engine: unsupported statement %T", stmt)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(stmts) == 1 {
-		if sel, ok := stmts[0].(*sqlparser.SelectStmt); ok {
-			return db.Query(sel.Query.String(), opts)
-		}
-	}
-	return db.Exec(sql, opts)
+	return &Result{Strategy: opts.Strategy, Affected: int64(n)}, nil
 }
 
 // execInsert type-checks literals against the table schema (coercing
 // string literals to dates for DATE columns) and appends the rows as
-// one batch — with durability enabled, one commit record.
+// one sealed batch — with durability enabled, one commit record.
 func (db *DB) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 	rel, ok := db.cat.Lookup(stmt.Table)
 	if !ok {
@@ -115,10 +105,10 @@ func (db *DB) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 		}
 		rows[ri] = t
 	}
-	if err := db.Insert(rel.Name, rows...); err != nil {
+	if err := db.insert(rel.Name, rows, true); err != nil {
 		return 0, err
 	}
-	return len(rows), db.Seal(stmt.Table)
+	return len(rows), nil
 }
 
 // resolveDMLWhere resolves a DELETE/UPDATE WHERE clause by wrapping it in
@@ -155,7 +145,7 @@ func (db *DB) execDelete(stmt *sqlparser.DeleteStmt) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	commit, n, err := db.applyDML(rel.Name, wal.RecDelete, stmt.String(), func(f *storage.HeapFile) (int, error) {
+	return db.applyDML(rel.Name, wal.RecDelete, stmt.String(), func(f *storage.HeapFile) (int, error) {
 		ev := exec.NewEvaluator(db.cat, db.store)
 		defer ev.Close()
 		var kept []storage.Tuple
@@ -182,10 +172,6 @@ func (db *DB) execDelete(stmt *sqlparser.DeleteStmt) (int, error) {
 		}
 		return removed, nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, commit.Wait()
 }
 
 // execUpdate assigns the SET literals to the rows matching the WHERE
@@ -211,7 +197,7 @@ func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		sets[i] = setIdx{pos: pos, val: v}
 	}
-	commit, n, err := db.applyDML(rel.Name, wal.RecUpdate, stmt.String(), func(f *storage.HeapFile) (int, error) {
+	return db.applyDML(rel.Name, wal.RecUpdate, stmt.String(), func(f *storage.HeapFile) (int, error) {
 		ev := exec.NewEvaluator(db.cat, db.store)
 		defer ev.Close()
 		var rows []storage.Tuple
@@ -241,44 +227,27 @@ func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		return changed, nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, commit.Wait()
 }
 
-// applyDML runs a DELETE/UPDATE body under the durability discipline:
-// with the WAL enabled it holds the exclusive DML lock across decide,
-// apply, and log append (so log order equals apply order), then hands
-// the commit back for the caller to Wait on outside the lock. The body
-// is two-phase by contract — it must not mutate the heap file before
-// its row decisions are complete — so errors and injected fault panics
-// (which unwind through the deferred unlock) leave the table intact.
-// Mutations that touched no rows are not logged.
-func (db *DB) applyDML(table string, rt wal.RecType, sql string, body func(*storage.HeapFile) (int, error)) (wal.Commit, int, error) {
-	f, _ := db.store.Lookup(table)
-	if db.wal == nil {
-		n, err := body(f)
-		if err == nil && n > 0 {
-			db.indexes.DropRelation(table)
+// applyDML runs a DELETE/UPDATE body through mutate: the exclusive DML
+// lock spans decide, apply, and log append, and the commit is awaited
+// after the lock drops. The body is two-phase by contract — it must not
+// mutate the heap file before its row decisions are complete — so
+// errors and injected fault panics (which unwind through the deferred
+// unlock) leave the table intact. Mutations that touched no rows are not
+// logged.
+func (db *DB) applyDML(table string, rt wal.RecType, sql string, body func(*storage.HeapFile) (int, error)) (int, error) {
+	var n int
+	err := db.mutate(func() (*wal.Record, error) {
+		f, _ := db.store.Lookup(table)
+		var err error
+		if n, err = body(f); err != nil || n == 0 {
+			return nil, err
 		}
-		return wal.Commit{}, n, err
-	}
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, 0, err // poisoned: refuse before touching state
-	}
-	n, err := body(f)
-	if err != nil || n == 0 {
-		return wal.Commit{}, n, err
-	}
-	db.indexes.DropRelation(table)
-	commit, err := db.wal.Append(wal.Record{Type: rt, SQL: sql})
-	if err != nil {
-		return wal.Commit{}, n, err
-	}
-	return commit, n, nil
+		db.indexes.DropRelation(table)
+		return &wal.Record{Type: rt, SQL: sql}, nil
+	})
+	return n, err
 }
 
 // CoerceInsertValue applies INSERT literal coercion (string→date,

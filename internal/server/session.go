@@ -10,7 +10,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/sqlparser"
 	"repro/internal/storage"
+	"repro/internal/value"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -127,36 +130,8 @@ func (s *session) serve() {
 				if !s.runQuery(q) {
 					return
 				}
-			case wire.FrameShardQuery:
-				if !s.cluster {
-					s.sendError(wire.ErrorFrame{
-						Code:    wire.CodeProtocol,
-						Message: "shard query without negotiated cluster feature",
-					})
-					return
-				}
-				q, err := wire.DecodeShardQuery(f.payload)
-				if err != nil {
-					s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
-					return
-				}
-				if !s.runShardQuery(q) {
-					return
-				}
-			case wire.FrameSnapshot:
-				if !s.cluster {
-					s.sendError(wire.ErrorFrame{
-						Code:    wire.CodeProtocol,
-						Message: "snapshot without negotiated cluster feature",
-					})
-					return
-				}
-				sn, err := wire.DecodeSnapshot(f.payload)
-				if err != nil {
-					s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
-					return
-				}
-				if !s.runSnapshot(sn.Table) {
+			case wire.FrameShardQuery, wire.FrameSnapshot, wire.FrameLoadRows:
+				if !s.runClusterFrame(f) {
 					return
 				}
 			default:
@@ -337,6 +312,65 @@ func (s *session) runQuery(q wire.Query) bool {
 		done.Rows = res.Affected
 	}
 	if err := s.writeFrame(wire.FrameDone, wire.EncodeDone(done)); err != nil {
+		return false
+	}
+	return s.flush() == nil
+}
+
+// runClusterFrame serves one coordinator frame. Without the negotiated
+// cluster feature, or with a malformed payload, the frame is a protocol
+// error and the session ends. Like runQuery it reports whether the
+// session should keep serving.
+func (s *session) runClusterFrame(f recvFrame) bool {
+	if !s.cluster {
+		s.sendError(wire.ErrorFrame{
+			Code:    wire.CodeProtocol,
+			Message: fmt.Sprintf("cluster frame 0x%02x without negotiated cluster feature", f.typ),
+		})
+		return false
+	}
+	var err error
+	switch f.typ {
+	case wire.FrameShardQuery:
+		var q wire.ShardQuery
+		if q, err = wire.DecodeShardQuery(f.payload); err == nil {
+			return s.runShardQuery(q)
+		}
+	case wire.FrameSnapshot:
+		var sn wire.Snapshot
+		if sn, err = wire.DecodeSnapshot(f.payload); err == nil {
+			return s.runSnapshot(sn.Table)
+		}
+	case wire.FrameLoadRows:
+		var rec wal.Record
+		if rec, err = wal.DecodePayload(f.payload); err == nil {
+			if rec.Type == wal.RecInsert {
+				return s.runLoadRows(rec)
+			}
+			err = fmt.Errorf("load rows: %s record, want insert", rec.Type)
+		}
+	}
+	s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
+	return false
+}
+
+// runLoadRows appends one LoadRows frame's rows by running them as an
+// INSERT statement, so a binary load gets exactly what a SQL INSERT
+// gets: literal coercion (which also validates the coordinator's
+// input), panic containment, one commit record and the seal. Done is
+// written only after the record is durable. A missing table answers with
+// the engine's "unknown relation" text — to the coordinator, a worker
+// that restarted empty.
+func (s *session) runLoadRows(rec wal.Record) bool {
+	stmt := &sqlparser.InsertStmt{Table: rec.Table, Rows: make([][]value.Value, len(rec.Rows))}
+	for i, t := range rec.Rows {
+		stmt.Rows[i] = t
+	}
+	res, err := s.srv.eng.ExecStatement(stmt, engine.Options{})
+	if err != nil {
+		return s.sendError(wire.ErrorFrameFor(err))
+	}
+	if err := s.writeFrame(wire.FrameDone, wire.EncodeDone(wire.Done{Rows: res.Affected})); err != nil {
 		return false
 	}
 	return s.flush() == nil

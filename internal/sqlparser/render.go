@@ -7,12 +7,15 @@ import (
 	"repro/internal/value"
 )
 
-// DML statements render back to parseable SQL text: the write-ahead log
-// stores DELETE and UPDATE records logically (the statement, not the
-// row images), and replays them by re-parsing. Predicates reuse the ast
-// String renderers the EXPLAIN traces use; literals go through
-// renderLiteral, which keeps every value in a form the lexer accepts
-// (ISO dates as quoted strings, floats without exponents).
+// DELETE, UPDATE and DROP TABLE render back to parseable SQL text: the
+// write-ahead log stores DELETE and UPDATE records logically (the
+// statement, not the row images) and replays them by re-parsing, and
+// the cluster coordinator forwards them to workers per shard. INSERT
+// does not render: rows cross the log and the network as binary WAL
+// records, never as SQL text. Predicates reuse the ast String renderers
+// the EXPLAIN traces use; literals go through renderLiteral, which keeps
+// every value in a form the lexer accepts (ISO dates as quoted strings,
+// floats without exponents).
 
 // String renders the statement as parseable SQL.
 func (s *DeleteStmt) String() string {
@@ -44,31 +47,6 @@ func (s *UpdateStmt) String() string {
 // String renders the statement as parseable SQL.
 func (s *DropTableStmt) String() string {
 	return "DROP TABLE " + s.Table
-}
-
-// String renders the statement as parseable SQL. The cluster coordinator
-// uses it to forward partitioned row batches to their destination worker
-// as plain INSERT statements, so shuffle traffic reuses the engine's
-// ordinary DML path (coercion, WAL logging, admission) unchanged.
-func (s *InsertStmt) String() string {
-	var b strings.Builder
-	b.WriteString("INSERT INTO ")
-	b.WriteString(s.Table)
-	b.WriteString(" VALUES ")
-	for i, row := range s.Rows {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteByte('(')
-		for j, v := range row {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(renderLiteral(v))
-		}
-		b.WriteByte(')')
-	}
-	return b.String()
 }
 
 func writeWhere(b *strings.Builder, s Statement) {

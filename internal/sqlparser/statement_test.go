@@ -122,26 +122,42 @@ func TestParseDropTable(t *testing.T) {
 	}
 }
 
-func TestRenderInsertRoundTrip(t *testing.T) {
-	src := `INSERT INTO T VALUES (1, NULL, 2.5, 'it''s', '1-1-80'), (-3, 0, 0.25, 'x', NULL)`
+// TestRenderUpdateRoundTrip: the WAL logs UPDATE statements as text and
+// replays them by re-parsing, so renderLiteral must emit every literal in
+// a form the lexer reads back to the same value — doubled quotes, NULL,
+// fractions, negatives, a date-like string, and a DATE value (which may
+// return as its ISO string, for the engine's column coercion to read).
+func TestRenderUpdateRoundTrip(t *testing.T) {
+	src := `UPDATE T SET A = 1, B = NULL, C = 2.5, D = 'it''s', E = '1-1-80', F = -3, G = 0, H = 0.25 WHERE A < 9`
 	stmt, err := ParseStatement(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := stmt.(*InsertStmt)
-	back, err := ParseStatement(ins.String())
+	up := stmt.(*UpdateStmt)
+	d, err := value.ParseDate("1-1-80")
 	if err != nil {
-		t.Fatalf("re-parse %q: %v", ins.String(), err)
+		t.Fatal(err)
 	}
-	ins2 := back.(*InsertStmt)
-	if len(ins2.Rows) != len(ins.Rows) {
-		t.Fatalf("rows = %d, want %d", len(ins2.Rows), len(ins.Rows))
+	up.Set = append(up.Set, SetClause{Column: "I", Val: value.NewDateValue(d)})
+	back, err := ParseStatement(up.String())
+	if err != nil {
+		t.Fatalf("re-parse %q: %v", up.String(), err)
 	}
-	for i, row := range ins.Rows {
-		for j, v := range row {
-			if got := ins2.Rows[i][j]; !got.Equal(v) && !(got.IsNull() && v.IsNull()) {
-				t.Errorf("row %d col %d: %v != %v", i, j, got, v)
+	up2 := back.(*UpdateStmt)
+	if len(up2.Set) != len(up.Set) || len(up2.Where) != len(up.Where) {
+		t.Fatalf("round trip of %q = %+v", up.String(), up2)
+	}
+	for i, sc := range up.Set {
+		got := up2.Set[i].Val
+		if sc.Val.Kind() == value.KindDate && got.Kind() == value.KindString {
+			gd, err := value.ParseDate(got.Str())
+			if err != nil || !value.NewDateValue(gd).Equal(sc.Val) {
+				t.Errorf("set %s: %v does not parse back to %v (%v)", sc.Column, got, sc.Val, err)
 			}
+			continue
+		}
+		if up2.Set[i].Column != sc.Column || (!got.Equal(sc.Val) && !(got.IsNull() && sc.Val.IsNull())) {
+			t.Errorf("set %s: %v != %v", sc.Column, got, sc.Val)
 		}
 	}
 }

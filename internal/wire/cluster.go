@@ -1,13 +1,15 @@
-// Cluster frames: the shard scatter/gather extension of the protocol.
+// Cluster frames: the coordinator-to-worker extension of the protocol.
 //
 // A coordinator sends FrameShardQuery to a worker; the worker executes
 // the query locally and streams FrameShardBatch frames — RowBatches
 // tagged with the destination partition each row hashes to — finishing
 // with FrameShardDone (per-partition row counts, so the coordinator can
-// cross-check nothing was dropped in flight). Errors use the ordinary
-// FrameError taxonomy. The frames ride the negotiated codec, so CRC32C
-// checksums and heartbeats cover shuffle traffic exactly as they cover
-// client traffic.
+// cross-check nothing was dropped in flight). Rows travel the other way
+// in FrameLoadRows: routed INSERTs, shuffle landings and rejoin re-ships
+// all write to a worker with it, never with SQL text. Errors use the
+// ordinary FrameError taxonomy. The frames ride the negotiated codec, so
+// CRC32C checksums and heartbeats cover shuffle traffic exactly as they
+// cover client traffic.
 //
 // Partitioning happens worker-side (internal/cluster.Partitioner) so a
 // shuffle ships each row once; the coordinator only forwards batches to
@@ -38,12 +40,18 @@ const (
 	// FrameSnapshotMeta opens a snapshot stream with the schema needed
 	// to recreate the table on the receiving side.
 	FrameSnapshotMeta byte = 0x0C
+	// FrameLoadRows appends rows to one table on a worker. Its payload
+	// is a WAL RecInsert record (wal.AppendPayload), so it adds no row
+	// encoding of its own; the worker runs it as an INSERT — coerced,
+	// logged as one commit record — and answers FrameDone with the row
+	// count once the record is durable.
+	FrameLoadRows byte = 0x0D
 )
 
-// FeatureCluster is the Hello feature bit for the shard frames. A server
-// grants it only when it fronts a local engine (a worker); coordinators
-// and pre-cluster servers leave it unset, and clients must not send
-// FrameShardQuery without it.
+// FeatureCluster is the Hello feature bit for the cluster frames. A
+// server grants it only when it fronts a local engine (a worker);
+// coordinators and pre-cluster servers leave it unset, and clients must
+// not send FrameShardQuery, FrameSnapshot or FrameLoadRows without it.
 const FeatureCluster byte = 1 << 2
 
 // maxShards bounds the partition counts a decoder will believe. Far above

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 // FuzzDecodeFrame asserts the wire decoder's defensive contract: arbitrary
@@ -151,6 +153,15 @@ func FuzzDecodeFrame(f *testing.F) {
 			if m, err := DecodeSnapshotMeta(payload); err == nil {
 				if m2, err := DecodeSnapshotMeta(EncodeSnapshotMeta(m)); err != nil || m2 != m {
 					t.Fatalf("snapshot meta not stable: %+v vs %+v (%v)", m2, m, err)
+				}
+			}
+		case FrameLoadRows:
+			// The payload is a WAL insert record; its decoder must hold
+			// the same contract here as on the log.
+			if r, err := wal.DecodePayload(payload); err == nil && r.Type == wal.RecInsert {
+				r2, err := wal.DecodePayload(wal.AppendPayload(nil, r))
+				if err != nil || r2.Table != r.Table || len(r2.Rows) != len(r.Rows) {
+					t.Fatalf("load rows not stable: %q/%q, %d/%d rows (%v)", r2.Table, r.Table, len(r2.Rows), len(r.Rows), err)
 				}
 			}
 		case FramePing, FramePong:

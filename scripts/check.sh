@@ -40,11 +40,12 @@ go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 echo "==> go test -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/rowcodec"
 go test -run '^$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/rowcodec
 
-# Short chaos pass: a reduced-round run of the seeded fault-injection
-# suite (the full 250-round sweep is `make chaos`). -count=1 defeats the
-# test cache so the faults actually execute in this gate.
-echo "==> go test -race -short -run TestChaosFaultInjection ./internal/engine"
-go test -race -short -count=1 -run TestChaosFaultInjection ./internal/engine
+# Chaos pass: the full 250-round seeded fault-injection sweep, three
+# times under the race detector (as `make chaos`). The short pass missed
+# a DML path racing concurrent queries that the full sweep catches on
+# its first run. -count also defeats the test cache.
+echo "==> go test -race -count=3 -run TestChaosFaultInjection ./internal/engine"
+go test -race -count=3 -run TestChaosFaultInjection ./internal/engine
 
 # Short storm pass: the multi-client admission storm plus the mid-storm
 # drain check (the full-length storm is `make storm`).
